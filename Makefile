@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race lint lint-stats check chaos bench
+.PHONY: build test race lint lint-stats check chaos stress bench
 
 build:
 	$(GO) build ./...
@@ -33,6 +33,14 @@ chaos:
 	$(GO) test -race -shuffle=on -v -run Chaos ./internal/core
 	$(GO) test -race -shuffle=on -v ./internal/faultnet ./internal/testutil
 	$(GO) test -race -shuffle=on -v -run 'Retry|Call|TimedOut|Truncated' ./internal/transport
+
+# The stress tier: loops over the two races the single-serve-path design
+# closes — a fill publishing its key before the bytes reach the content
+# path, and a handle close racing its first read. Every iteration must
+# pass.
+stress:
+	$(GO) test -count=50 -run TestConcurrentPutsAndReads ./internal/cachestore
+	$(GO) test -race -count=30 -run TestChaosHedgeRaceWithClose ./internal/core
 
 # The short benchmark tier: fixed iteration counts; results land next to
 # the committed pre-PR baselines in BENCH_PR4.json (hot path) and

@@ -112,11 +112,11 @@ func main() {
 				select {
 				case <-t.C:
 					st := srv.Stats()
-					fmt.Printf("hvacd: opens=%d hits=%d readthrough=%d misses=%d batch=%d served=%dB fetched=%dB evictions=%d cached=%d files/%dB queue=%d prefetch-drops=%d demand-rejects=%d replica-warms=%d plan=%d/%d@%d zerocopy=%d/%d (%dB, %d fallbacks)\n",
+					fmt.Printf("hvacd: opens=%d hits=%d readthrough=%d misses=%d batch=%d served=%dB fetched=%dB evictions=%d cached=%d files/%dB queue=%d prefetch-drops=%d demand-rejects=%d replica-warms=%d plan=%d/%d@%d zerocopy=%d/%d (%dB, %d fallbacks) resident-open-fails=%d\n",
 						st.Opens, st.Hits, st.ReadThroughs, st.Misses, st.BatchEntries, st.BytesServed, st.BytesFetched,
 						st.Evictions, srv.CachedFiles(), srv.CachedBytes(), st.QueueDepth, st.PrefetchDrops, st.DemandRejects, st.ReplicaWarms,
 						st.PlanPrefetches, st.PlanKeys, st.PlanFrontier,
-						st.ZeroCopySends, st.ZeroCopyEligible, st.ZeroCopyBytes, st.ZeroCopyFallbacks)
+						st.ZeroCopySends, st.ZeroCopyEligible, st.ZeroCopyBytes, st.ZeroCopyFallbacks, st.ResidentOpenFails)
 					fmt.Printf("hvacd latencies:\n%s\n", srv.LatencySummary())
 				case <-stop:
 					return

@@ -138,3 +138,10 @@ func leaseDoubleRelease(s *cachestore.Store, key string) {
 	lz.Release()
 	lz.Release() // want "double release"
 }
+
+// leaseShareLeak takes a per-request share of a held lease and never
+// releases it: the pooled descriptor can no longer close.
+func leaseShareLeak(lz *cachestore.Lease, p []byte) (int, error) {
+	sh := lz.Share() // want "fd lease .* may leak"
+	return sh.ReadAt(p, 0)
+}

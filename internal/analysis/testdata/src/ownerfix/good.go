@@ -140,3 +140,11 @@ func leaseRead(s *cachestore.Store, key string, p []byte) (int, error) {
 func leaseHandoff(s *cachestore.Store, key string) (*cachestore.Lease, error) {
 	return s.Lease(key)
 }
+
+// leaseShareServe is the per-request share a handle read takes: the
+// holder keeps its own lease, the share is released after the read.
+func leaseShareServe(lz *cachestore.Lease, p []byte) (int, error) {
+	sh := lz.Share()
+	defer sh.Release()
+	return sh.ReadAt(p, 0)
+}

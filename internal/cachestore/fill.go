@@ -8,7 +8,7 @@ import (
 	"sync"
 )
 
-// Fill is an in-progress streaming Put: the writer (a data-mover)
+// Fill is an in-progress streaming insert: the writer (a data-mover)
 // appends bytes as they arrive from the PFS while readers are served the
 // prefix that has already landed. This is the serve-from-fill primitive:
 // a cold read no longer needs its own PFS pass — it attaches to the fill
@@ -40,10 +40,10 @@ type Fill struct {
 	refs     int
 }
 
-// PutWriter starts a streaming insert of size bytes under key. Unlike
-// Put, nothing is reserved in the index until Commit: Contains stays
-// false during the fill (callers attach through their own fill registry,
-// not the index).
+// PutWriter starts a streaming insert of size bytes under key — the
+// store's only insert path. Nothing is reserved in the index until
+// Commit: Contains stays false during the fill (callers attach through
+// their own fill registry, not the index).
 func (s *Store) PutWriter(key string, size int64) (*Fill, error) {
 	if size < 0 {
 		return nil, fmt.Errorf("cachestore: negative fill size %d for %s", size, key)
@@ -187,7 +187,9 @@ func (f *Fill) Release() {
 // ReadAt serves p from the fill at off, blocking until the requested
 // range has been written, the fill aborts, or the declared size bounds
 // the read (short reads at the tail return io.EOF, matching os.File).
-// Callers must hold a reference via Acquire.
+// Bytes that landed stay readable after an abort: only a range the
+// aborted fill never wrote reports the fill's error. Callers must hold a
+// reference via Acquire.
 func (f *Fill) ReadAt(p []byte, off int64) (int, error) {
 	if off < 0 {
 		return 0, fmt.Errorf("cachestore: negative fill read offset %d", off)
@@ -203,7 +205,10 @@ func (f *Fill) ReadAt(p []byte, off int64) (int, error) {
 	for f.written < off+want && f.err == nil {
 		f.cond.Wait()
 	}
-	err := f.err
+	var err error
+	if f.written < off+want {
+		err = f.err
+	}
 	f.mu.Unlock()
 	if err != nil {
 		return 0, err
@@ -253,35 +258,30 @@ func (f *Fill) Commit() error {
 }
 
 // insert admits the finished temp file into the index and renames it to
-// its content path, mirroring Put's eviction handling.
+// its content path in one critical section, so Contains and Lease never
+// see a key whose bytes are not at pathFor(key). Eviction unlinks its
+// victims in the same section.
 func (f *Fill) insert() error {
 	s := f.s
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.ix.Peek(f.key) {
-		// A concurrent Put won the key: keep the resident copy.
-		s.mu.Unlock()
+		// An earlier fill of the same key committed first: keep it.
 		return os.Remove(f.file.Name())
 	}
 	evicted, err := s.ix.Insert(f.key, f.size)
 	if err != nil {
-		s.mu.Unlock()
 		return err
 	}
 	for _, victim := range evicted {
 		_ = os.Remove(s.pathFor(victim)) // eviction is best-effort; the index entry is already gone
 		s.hp.drop(victim)
 	}
-	s.ix.Pin(f.key)
-	s.mu.Unlock()
-
-	err = os.Rename(f.file.Name(), s.pathFor(f.key))
-	s.mu.Lock()
-	s.ix.Unpin(f.key)
-	if err != nil {
+	if err := os.Rename(f.file.Name(), s.pathFor(f.key)); err != nil {
 		s.ix.Remove(f.key)
+		return err
 	}
-	s.mu.Unlock()
-	return err
+	return nil
 }
 
 // Abort terminates the fill with err (which readers will observe),

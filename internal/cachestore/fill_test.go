@@ -2,6 +2,7 @@ package cachestore
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"testing"
 	"time"
@@ -75,7 +76,7 @@ func TestCopyFromFinalPartialChunkWakes(t *testing.T) {
 
 	// The committed entry must hold the (possibly spliced) bytes verbatim.
 	got := make([]byte, size)
-	if _, err := s.ReadAt("k", got, 0); err != nil {
+	if err := readKey(s, "k", got); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, data) {
@@ -120,11 +121,39 @@ func TestCopyFromRegularFileSource(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := make([]byte, size)
-	if _, err := s.ReadAt("k", got, 0); err != nil {
+	if err := readKey(s, "k", got); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, data) {
 		t.Fatal("committed bytes differ from the file source")
 	}
 	_ = os.Remove(srcPath) // keep the cache dir consistent for other assertions
+}
+
+// TestFillBytesOutliveFailedCommit commits a fill the cache cannot hold:
+// Commit fails, but a reader attached to the fill still reads every byte
+// that landed — a handle resolved to the fill keeps serving.
+func TestFillBytesOutliveFailedCommit(t *testing.T) {
+	s := newTestStore(t, 4, NewLRU())
+	f, err := s.PutWriter("big", 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !f.Acquire() {
+		t.Fatal("acquire on a live fill failed")
+	}
+	defer f.Release()
+	if _, err := f.Write([]byte("abcdefgh")); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Commit(); !errors.Is(err, ErrTooLarge) {
+		t.Fatalf("commit: %v, want ErrTooLarge", err)
+	}
+	got := make([]byte, 8)
+	if n, err := f.ReadAt(got, 0); err != nil || string(got[:n]) != "abcdefgh" {
+		t.Fatalf("read after failed commit: %q, %v", got[:n], err)
+	}
+	if s.Resident("big") {
+		t.Fatal("a failed commit left the key indexed")
+	}
 }

@@ -5,18 +5,19 @@ import (
 	"sync"
 )
 
-// handlePool keeps recently used cache files open so the segment-read hot
-// path (Store.ReadAt) costs one pread instead of an open/pread/close
-// triple per request. Entries are ref-counted: eviction (FIFO once the
-// pool is full, or an explicit drop when the store evicts the file) marks
-// an entry dead and the last reader closes it. Reading from a dropped
-// handle is safe — the unlinked file's inode lives until the descriptor
-// closes, and a cache key always names the same bytes.
+// handlePool keeps recently used cache files open so a warm lease costs
+// a map lookup instead of an open/close pair per request. Entries are
+// ref-counted by their leases: eviction (FIFO once the pool is full, or
+// an explicit drop when the store evicts the file) marks an entry dead
+// and the last lease closes it. Reading from a dropped handle is safe —
+// the unlinked file's inode lives until the descriptor closes, and a
+// cache key always names the same bytes.
 type handlePool struct {
 	mu   sync.Mutex
 	max  int
 	m    map[string]*pooledFile
 	fifo []string
+	refs int // outstanding references across live and dead entries
 }
 
 type pooledFile struct {
@@ -39,6 +40,7 @@ func (hp *handlePool) acquire(key, path string) (*pooledFile, error) {
 	defer hp.mu.Unlock()
 	if pf, ok := hp.m[key]; ok {
 		pf.refs++
+		hp.refs++
 		return pf, nil
 	}
 	f, err := os.Open(path)
@@ -46,6 +48,7 @@ func (hp *handlePool) acquire(key, path string) (*pooledFile, error) {
 		return nil, err
 	}
 	pf := &pooledFile{f: f, refs: 1}
+	hp.refs++
 	hp.m[key] = pf
 	hp.fifo = append(hp.fifo, key)
 	for len(hp.m) > hp.max && len(hp.fifo) > 0 {
@@ -56,10 +59,34 @@ func (hp *handlePool) acquire(key, path string) (*pooledFile, error) {
 	return pf, nil
 }
 
-// release undoes one acquire; the last release of a dead entry closes it.
+// ref takes one more reference on an entry the caller already holds.
+func (hp *handlePool) ref(pf *pooledFile) {
+	hp.mu.Lock()
+	pf.refs++
+	hp.refs++
+	hp.mu.Unlock()
+}
+
+// lease wraps one held reference on pf in a pooled Lease.
+func (hp *handlePool) lease(pf *pooledFile, size int64) *Lease {
+	l := leasePool.Get().(*Lease)
+	l.hp, l.pf, l.size = hp, pf, size
+	return l
+}
+
+// leased reports the outstanding references.
+func (hp *handlePool) leased() int {
+	hp.mu.Lock()
+	defer hp.mu.Unlock()
+	return hp.refs
+}
+
+// release undoes one acquire or ref; the last release of a dead entry
+// closes it.
 func (hp *handlePool) release(pf *pooledFile) {
 	hp.mu.Lock()
 	pf.refs--
+	hp.refs--
 	dead := pf.dead && pf.refs == 0
 	hp.mu.Unlock()
 	if dead {

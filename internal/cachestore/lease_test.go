@@ -14,7 +14,7 @@ import (
 func TestLeaseReadRoundTrip(t *testing.T) {
 	s := newTestStore(t, 1<<20, NewLRU())
 	content := []byte("zero-copy lease payload")
-	if err := s.Put("k", int64(len(content)), bytes.NewReader(content)); err != nil {
+	if err := fillKey(s, "k", int64(len(content)), bytes.NewReader(content)); err != nil {
 		t.Fatal(err)
 	}
 	l, err := s.Lease("k")
@@ -32,7 +32,7 @@ func TestLeaseReadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, content) {
-		t.Fatal("lease read differs from Put content")
+		t.Fatal("lease read differs from the committed content")
 	}
 	l.Release()
 	l.Release() // released lease: no-op, must not double-release the pool
@@ -51,7 +51,7 @@ func TestLeaseMiss(t *testing.T) {
 // bytes — no EBADF, no new key's bytes — until Release closes it.
 func TestLeaseSurvivesEviction(t *testing.T) {
 	s := newTestStore(t, 10, NewFIFO())
-	if err := s.Put("a", 6, strings.NewReader("aaaaaa")); err != nil {
+	if err := fillKey(s, "a", 6, strings.NewReader("aaaaaa")); err != nil {
 		t.Fatal(err)
 	}
 	l, err := s.Lease("a")
@@ -60,7 +60,7 @@ func TestLeaseSurvivesEviction(t *testing.T) {
 	}
 	// A lease does not pin the index entry (the fd, not the key, is what
 	// sendfile needs): inserting b evicts a and unlinks its file.
-	if err := s.Put("b", 6, strings.NewReader("bbbbbb")); err != nil {
+	if err := fillKey(s, "b", 6, strings.NewReader("bbbbbb")); err != nil {
 		t.Fatalf("eviction blocked by an fd lease: %v", err)
 	}
 	if s.Resident("a") {
@@ -86,7 +86,7 @@ func TestLeaseSurvivesEviction(t *testing.T) {
 // open until the final release even when the key dies in between.
 func TestLeaseSharesPooledHandle(t *testing.T) {
 	s := newTestStore(t, 10, NewFIFO())
-	if err := s.Put("a", 6, strings.NewReader("aaaaaa")); err != nil {
+	if err := fillKey(s, "a", 6, strings.NewReader("aaaaaa")); err != nil {
 		t.Fatal(err)
 	}
 	l1, err := s.Lease("a")
@@ -100,7 +100,7 @@ func TestLeaseSharesPooledHandle(t *testing.T) {
 	if l1.File() != l2.File() {
 		t.Fatal("two leases on one key opened two descriptors")
 	}
-	if err := s.Put("b", 6, strings.NewReader("bbbbbb")); err != nil { // evicts a
+	if err := fillKey(s, "b", 6, strings.NewReader("bbbbbb")); err != nil { // evicts a
 		t.Fatal(err)
 	}
 	l1.Release()
@@ -133,10 +133,10 @@ func TestLeaseEvictionChurnRace(t *testing.T) {
 			for i := 0; i < 300; i++ {
 				k := (seed + i) % keys
 				key := fmt.Sprintf("k%d", k)
-				_ = s.Put(key, 64, bytes.NewReader(content(k))) // may fail under pin races; irrelevant here
+				_ = fillKey(s, key, 64, bytes.NewReader(content(k))) // a duplicate commit is a no-op
 				l, err := s.Lease(key)
 				if err != nil {
-					continue // evicted between Put and Lease: a legitimate miss
+					continue // evicted between the fill and the lease: a legitimate miss
 				}
 				if _, err := l.ReadAt(buf, 0); err != nil {
 					t.Errorf("lease read for %s: %v", key, err)
@@ -148,4 +148,34 @@ func TestLeaseEvictionChurnRace(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+}
+
+// TestLeaseShareOutlivesOriginal checks Share: the shared lease reads the
+// same descriptor after the original is released and the key evicted,
+// and the store's outstanding-lease count returns to zero.
+func TestLeaseShareOutlivesOriginal(t *testing.T) {
+	s := newTestStore(t, 10, NewFIFO())
+	if err := fillKey(s, "a", 6, strings.NewReader("aaaaaa")); err != nil {
+		t.Fatal(err)
+	}
+	l, err := s.Lease("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared := l.Share()
+	l.Release()
+	if err := fillKey(s, "b", 6, strings.NewReader("bbbbbb")); err != nil { // evicts a
+		t.Fatal(err)
+	}
+	if s.Leases() != 1 {
+		t.Fatalf("leases = %d, want 1 (the shared one)", s.Leases())
+	}
+	got := make([]byte, 6)
+	if _, err := shared.ReadAt(got, 0); err != nil || string(got) != "aaaaaa" {
+		t.Fatalf("shared lease read %q, %v", got, err)
+	}
+	shared.Release()
+	if s.Leases() != 0 {
+		t.Fatalf("leases = %d after every release, want 0", s.Leases())
+	}
 }

@@ -2,6 +2,7 @@ package cachestore
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -20,22 +21,52 @@ func newTestStore(t *testing.T, capacity int64, p Policy) *Store {
 	return s
 }
 
+// fillKey inserts size bytes of src under key through the store's one
+// insert path, PutWriter→Commit. A source shorter than size fails the
+// commit.
+func fillKey(s *Store, key string, size int64, src io.Reader) error {
+	f, err := s.PutWriter(key, size)
+	if err != nil {
+		return err
+	}
+	if _, err := io.Copy(f, io.LimitReader(src, size)); err != nil {
+		f.Abort(err)
+		return err
+	}
+	return f.Commit()
+}
+
+// readKey reads len(p) bytes of key's committed entry through a lease.
+func readKey(s *Store, key string, p []byte) error {
+	l, err := s.Lease(key)
+	if err != nil {
+		return err
+	}
+	defer l.Release()
+	_, err = l.ReadAt(p, 0)
+	return err
+}
+
+// readAllKey returns key's whole committed entry, read through a lease.
+func readAllKey(s *Store, key string) ([]byte, error) {
+	l, err := s.Lease(key)
+	if err != nil {
+		return nil, err
+	}
+	defer l.Release()
+	return io.ReadAll(io.NewSectionReader(l, 0, l.Size()))
+}
+
 func TestPutOpenRoundTrip(t *testing.T) {
 	s := newTestStore(t, 1<<20, NewLRU())
 	content := []byte("hello hvac cache")
-	if err := s.Put("/pfs/data/a.bin", int64(len(content)), bytes.NewReader(content)); err != nil {
+	if err := fillKey(s, "/pfs/data/a.bin", int64(len(content)), bytes.NewReader(content)); err != nil {
 		t.Fatal(err)
 	}
 	if !s.Contains("/pfs/data/a.bin") {
-		t.Fatal("not cached after Put")
+		t.Fatal("not cached after commit")
 	}
-	f, release, err := s.Open("/pfs/data/a.bin")
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := io.ReadAll(f)
-	f.Close()
-	release()
+	got, err := readAllKey(s, "/pfs/data/a.bin")
 	if err != nil || !bytes.Equal(got, content) {
 		t.Fatalf("read back %q, %v", got, err)
 	}
@@ -43,42 +74,39 @@ func TestPutOpenRoundTrip(t *testing.T) {
 
 func TestPutDuplicateNoop(t *testing.T) {
 	s := newTestStore(t, 1<<20, NewLRU())
-	s.Put("k", 3, strings.NewReader("abc"))
-	if err := s.Put("k", 3, strings.NewReader("xyz")); err != nil {
+	fillKey(s, "k", 3, strings.NewReader("abc"))
+	if err := fillKey(s, "k", 3, strings.NewReader("xyz")); err != nil {
 		t.Fatal(err)
 	}
-	f, release, _ := s.Open("k")
-	got, _ := io.ReadAll(f)
-	f.Close()
-	release()
+	got, _ := readAllKey(s, "k")
 	if string(got) != "abc" {
-		t.Fatalf("duplicate Put overwrote content: %q", got)
+		t.Fatalf("duplicate fill overwrote content: %q", got)
 	}
 }
 
 func TestShortSourceFails(t *testing.T) {
 	s := newTestStore(t, 1<<20, NewLRU())
-	err := s.Put("k", 100, strings.NewReader("only a few bytes"))
+	err := fillKey(s, "k", 100, strings.NewReader("only a few bytes"))
 	if err == nil {
 		t.Fatal("short copy should fail")
 	}
 	if s.Contains("k") {
-		t.Fatal("failed Put left index entry")
+		t.Fatal("failed fill left index entry")
 	}
 	if s.Used() != 0 {
-		t.Fatalf("used = %d after failed put", s.Used())
+		t.Fatalf("used = %d after failed fill", s.Used())
 	}
 }
 
 func TestEvictionRemovesFile(t *testing.T) {
 	s := newTestStore(t, 10, NewFIFO())
-	s.Put("a", 6, strings.NewReader("aaaaaa"))
-	s.Put("b", 6, strings.NewReader("bbbbbb")) // evicts a
+	fillKey(s, "a", 6, strings.NewReader("aaaaaa"))
+	fillKey(s, "b", 6, strings.NewReader("bbbbbb")) // evicts a
 	if s.Contains("a") {
 		t.Fatal("a should be evicted")
 	}
-	if _, _, err := s.Open("a"); err == nil {
-		t.Fatal("open of evicted key should fail")
+	if _, err := s.Lease("a"); err == nil {
+		t.Fatal("lease of evicted key should fail")
 	}
 	entries, err := os.ReadDir(s.Dir())
 	if err != nil {
@@ -89,25 +117,11 @@ func TestEvictionRemovesFile(t *testing.T) {
 	}
 }
 
-func TestOpenPinsAgainstEviction(t *testing.T) {
-	s := newTestStore(t, 10, NewFIFO())
-	s.Put("a", 6, strings.NewReader("aaaaaa"))
-	f, release, err := s.Open("a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	// a is pinned: inserting b has no victim.
-	if err := s.Put("b", 6, strings.NewReader("bbbbbb")); err == nil {
-		t.Fatal("expected ErrNoVictim while a is pinned")
-	}
-	release()
-	release() // idempotent
-	if err := s.Put("b", 6, strings.NewReader("bbbbbb")); err != nil {
-		t.Fatalf("after release: %v", err)
-	}
-}
-
+// TestConcurrentPutsAndReads races fills of 20 colliding keys against
+// leases on them. A committed fill must be readable the moment Commit
+// returns: the index may never list a key whose file is not yet at its
+// content path (a duplicate commit returning early while the winner's
+// rename was still pending used to surface here as ENOENT).
 func TestConcurrentPutsAndReads(t *testing.T) {
 	s := newTestStore(t, 1<<20, NewLRU())
 	var wg sync.WaitGroup
@@ -119,18 +133,15 @@ func TestConcurrentPutsAndReads(t *testing.T) {
 			for i := 0; i < 50; i++ {
 				key := fmt.Sprintf("file-%d", (w*50+i)%20)
 				content := strings.Repeat("x", 128)
-				if err := s.Put(key, 128, strings.NewReader(content)); err != nil {
+				if err := fillKey(s, key, 128, strings.NewReader(content)); err != nil {
 					t.Error(err)
 					return
 				}
-				f, release, err := s.Open(key)
+				b, err := readAllKey(s, key)
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				b, _ := io.ReadAll(f)
-				f.Close()
-				release()
 				if len(b) != 128 {
 					t.Errorf("read %d bytes", len(b))
 					return
@@ -147,7 +158,7 @@ func TestConcurrentPutsAndReads(t *testing.T) {
 func TestPurge(t *testing.T) {
 	s := newTestStore(t, 1<<20, NewLRU())
 	for i := 0; i < 5; i++ {
-		s.Put(fmt.Sprintf("k%d", i), 4, strings.NewReader("data"))
+		fillKey(s, fmt.Sprintf("k%d", i), 4, strings.NewReader("data"))
 	}
 	if err := s.Purge(); err != nil {
 		t.Fatal(err)
@@ -164,16 +175,42 @@ func TestPurge(t *testing.T) {
 func TestKeyCollisionSafety(t *testing.T) {
 	// Similar path names must map to distinct cache files.
 	s := newTestStore(t, 1<<20, NewLRU())
-	s.Put("/data/f1", 1, strings.NewReader("1"))
-	s.Put("/data/f2", 1, strings.NewReader("2"))
-	f1, r1, err := s.Open("/data/f1")
+	fillKey(s, "/data/f1", 1, strings.NewReader("1"))
+	fillKey(s, "/data/f2", 1, strings.NewReader("2"))
+	b1, err := readAllKey(s, "/data/f1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	b1, _ := io.ReadAll(f1)
-	f1.Close()
-	r1()
 	if string(b1) != "1" {
 		t.Fatalf("f1 content = %q", b1)
+	}
+}
+
+// TestLeaseUnopenableDropsEntry removes a committed file behind the
+// store's back: the lease reports ErrUnopenable (not a plain miss), the
+// stale entry leaves the index, and a fresh fill makes the key readable
+// again.
+func TestLeaseUnopenableDropsEntry(t *testing.T) {
+	s := newTestStore(t, 1<<20, NewLRU())
+	if err := fillKey(s, "k", 4, strings.NewReader("data")); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(s.pathFor("k")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Lease("k"); !errors.Is(err, ErrUnopenable) {
+		t.Fatalf("lease of an unlinked entry: %v, want ErrUnopenable", err)
+	}
+	if s.Resident("k") || s.Used() != 0 {
+		t.Fatalf("stale entry survived: resident=%v used=%d", s.Resident("k"), s.Used())
+	}
+	if err := fillKey(s, "k", 4, strings.NewReader("data")); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := readAllKey(s, "k"); err != nil || string(got) != "data" {
+		t.Fatalf("refilled entry read %q, %v", got, err)
+	}
+	if n := s.Leases(); n != 0 {
+		t.Fatalf("%d leases outstanding after every reader released", n)
 	}
 }

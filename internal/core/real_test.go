@@ -53,7 +53,21 @@ func startCluster(t *testing.T, pfsDir string, n int, cfgMut func(*ServerConfig)
 		if err != nil {
 			t.Fatal(err)
 		}
+		// Cleanups run last-in first-out: this one runs after Close,
+		// once every handle and in-flight response has released.
+		t.Cleanup(func() {
+			if n := s.store.Leases(); n != 0 {
+				t.Errorf("server %d: %d leases outstanding after Close", i, n)
+			}
+		})
 		t.Cleanup(s.Close)
+		// Runs before Close: no cluster test may see the index advertise
+		// a key whose content file will not open.
+		t.Cleanup(func() {
+			if n := s.Stats().ResidentOpenFails; n != 0 {
+				t.Errorf("server %d: ResidentOpenFails = %d, want 0", i, n)
+			}
+		})
 		servers[i] = s
 		addrs[i] = s.Addr()
 	}
@@ -583,7 +597,9 @@ func TestRealSegmentedFallbackOnFailure(t *testing.T) {
 func TestRealServerProtocolEdges(t *testing.T) {
 	pfsDir := filepath.Join(t.TempDir(), "dataset")
 	paths := writePFS(t, pfsDir, 1, 4096)
-	servers, _ := startCluster(t, pfsDir, 1, func(c *ServerConfig) { c.SegmentSize = 1024 }, nil)
+	// ZeroCopy armed: a warm read's bytes leave as a file payload, which
+	// must never see an out-of-range offset.
+	servers, _ := startCluster(t, pfsDir, 1, func(c *ServerConfig) { c.SegmentSize = 1024; c.ZeroCopy = true }, nil)
 	conn := transport.Dial(servers[0].Addr())
 	defer conn.Close()
 
@@ -614,6 +630,24 @@ func TestRealServerProtocolEdges(t *testing.T) {
 	resp, _ = conn.Call(&transport.Request{Op: transport.OpRead, Handle: open.Handle, Len: -1})
 	if resp.OK() {
 		t.Fatal("negative read accepted")
+	}
+	// Negative offset on a warm handle and a warm segment, whose bytes
+	// would leave as file payloads: refused, and the connection lives.
+	if resp, _ = conn.Call(&transport.Request{Op: transport.OpReadAt, Path: paths[0], Len: 1}); !resp.OK() {
+		t.Fatalf("segment read: %s", resp.Err)
+	}
+	servers[0].WaitIdle()
+	warm, _ := conn.Call(&transport.Request{Op: transport.OpOpen, Path: paths[0]})
+	if !warm.OK() {
+		t.Fatalf("warm open failed: %s", warm.Err)
+	}
+	resp, err = conn.Call(&transport.Request{Op: transport.OpRead, Handle: warm.Handle, Off: -1, Len: 10})
+	if err != nil || resp.OK() {
+		t.Fatalf("negative-offset read: %v %v", resp, err)
+	}
+	resp, err = conn.Call(&transport.Request{Op: transport.OpReadAt, Path: paths[0], Off: -1, Len: 1})
+	if err != nil || resp.OK() {
+		t.Fatalf("negative-offset segment read: %v %v", resp, err)
 	}
 	// Segment read crossing a boundary is refused.
 	resp, _ = conn.Call(&transport.Request{Op: transport.OpReadAt, Path: paths[0], Off: 1000, Len: 100})

@@ -204,6 +204,11 @@ type ServerStats struct {
 	ZeroCopySends     int64
 	ZeroCopyBytes     int64
 	ZeroCopyFallbacks int64
+	// ResidentOpenFails counts cache opens that failed while the index
+	// still listed the key as resident — the index advertising bytes that
+	// are not at their content path. The request is served through the
+	// miss rungs; a healthy server keeps this at 0.
+	ResidentOpenFails int64
 }
 
 // serverCounters is the live form of ServerStats: typed atomics, so the
@@ -221,24 +226,26 @@ type serverCounters struct {
 	replicaWarms         atomic.Int64
 	planInstalled        atomic.Int64
 	planPrefetches       atomic.Int64
+	residentOpenFails    atomic.Int64
 }
 
 func (c *serverCounters) snapshot() ServerStats {
 	return ServerStats{
-		Opens:          c.opens.Load(),
-		Reads:          c.reads.Load(),
-		Closes:         c.closes.Load(),
-		Hits:           c.hits.Load(),
-		Misses:         c.misses.Load(),
-		ReadThroughs:   c.readThroughs.Load(),
-		BatchEntries:   c.batchEntries.Load(),
-		BytesServed:    c.bytesServed.Load(),
-		BytesFetched:   c.bytesFetched.Load(),
-		PrefetchDrops:  c.prefetchDrops.Load(),
-		DemandRejects:  c.demandRejects.Load(),
-		ReplicaWarms:   c.replicaWarms.Load(),
-		PlanInstalled:  c.planInstalled.Load(),
-		PlanPrefetches: c.planPrefetches.Load(),
+		Opens:             c.opens.Load(),
+		Reads:             c.reads.Load(),
+		Closes:            c.closes.Load(),
+		Hits:              c.hits.Load(),
+		Misses:            c.misses.Load(),
+		ReadThroughs:      c.readThroughs.Load(),
+		BatchEntries:      c.batchEntries.Load(),
+		BytesServed:       c.bytesServed.Load(),
+		BytesFetched:      c.bytesFetched.Load(),
+		PrefetchDrops:     c.prefetchDrops.Load(),
+		DemandRejects:     c.demandRejects.Load(),
+		ReplicaWarms:      c.replicaWarms.Load(),
+		PlanInstalled:     c.planInstalled.Load(),
+		PlanPrefetches:    c.planPrefetches.Load(),
+		ResidentOpenFails: c.residentOpenFails.Load(),
 	}
 }
 
@@ -279,17 +286,13 @@ type fetchTask struct {
 	entry   *fillEntry
 }
 
-type openHandle struct {
-	f       *os.File
-	release func() // nil for direct (read-through) PFS handles
-	size    int64
-	path    string
-
-	// Cold handles are served from the in-flight fill; once the fill is
-	// gone they promote — under mu — to the committed cache file (or the
-	// PFS on failure).
-	fe *fillEntry
-	mu sync.Mutex
+// span clips a PFS file of fileSize bytes to the task's byte range.
+func (t fetchTask) span(fileSize int64) int64 {
+	size := max(fileSize-t.off, 0)
+	if t.len > 0 {
+		size = min(size, t.len)
+	}
+	return size
 }
 
 // Server is a real-mode HVAC server instance.
@@ -518,13 +521,8 @@ func (s *Server) Close() {
 			drained = true
 		}
 	}
-	for _, h := range s.handles.drain() {
-		if h.f != nil {
-			_ = h.f.Close() // teardown is best-effort: the job is over
-		}
-		if h.release != nil {
-			h.release()
-		}
+	for _, src := range s.handles.drain() {
+		src.release()
 	}
 	s.peerMu.Lock()
 	peerConns := s.peerConns
@@ -656,13 +654,7 @@ func (s *Server) fillIn(task fetchTask) error {
 	if err != nil {
 		return fmt.Errorf("hvac server: pfs stat: %w", err)
 	}
-	size := fi.Size() - task.off
-	if size < 0 {
-		size = 0
-	}
-	if task.len > 0 && task.len < size {
-		size = task.len
-	}
+	size := task.span(fi.Size())
 	fill, err := s.store.PutWriter(task.key, size)
 	if err != nil {
 		return fmt.Errorf("hvac server: cache fill: %w", err)
@@ -799,200 +791,152 @@ func (s *Server) allowed(path string) error {
 	return nil
 }
 
-// handleOpen serves a forwarded open: from the cache when resident;
-// otherwise the miss is registered with the data-mover and the handle is
-// served from the in-flight fill (serve-from-fill) — one PFS metadata
-// stat now, one PFS data pass total, done by the mover. Only when the
-// fetch cannot be queued (backpressure, shutdown) does the handler fall
-// back to its own PFS read-through.
+// acquire is the server's one read ladder. It resolves task.key to a
+// source holding one reference, trying in order:
+//
+//  1. a lease on the committed cache entry — a hit;
+//  2. the key's single-flight fill: attached when one is in flight,
+//     otherwise scheduled as a demand fetch (serve-from-fill: the
+//     mover's pass is the only PFS read);
+//  3. a lease again, for a fill that committed and retired before this
+//     request attached;
+//  4. a PFS read-through, when the fetch could not be queued
+//     (backpressure, shutdown) or failed.
+//
+// Every forwarded open, segment read and batch entry walks this ladder;
+// hit reports rung 1, everything else is a read-through.
+func (s *Server) acquire(task fetchTask) (src source, hit bool, err error) {
+	if l := s.lease(task.key); l != nil {
+		return source{lease: l, size: l.Size()}, true, nil
+	}
+	if fe, _ := s.scheduleFetch(task, true); fe != nil {
+		select {
+		case <-fe.ready:
+		case <-s.stop:
+			return source{}, false, errServerClosed
+		}
+		if fl := fe.fill; fl != nil && fl.Acquire() {
+			return source{fill: fl, size: fl.Size()}, false, nil
+		}
+		if l := s.lease(task.key); l != nil {
+			return source{lease: l, size: l.Size()}, false, nil
+		}
+	}
+	f, err := s.openPFS(task.path)
+	if err != nil {
+		return source{}, false, fmt.Errorf("hvac server: pfs open: %w", err)
+	}
+	fi, err := f.Stat()
+	if err != nil {
+		_ = f.Close() // the stat failure is the error to report
+		return source{}, false, fmt.Errorf("hvac server: pfs stat: %w", err)
+	}
+	return source{pfs: f, base: task.off, size: task.span(fi.Size())}, false, nil
+}
+
+// lease is the ladder's cache rung: a lease on key's committed entry, or
+// nil. An entry the index lists but whose file will not open is counted
+// in ResidentOpenFails; the store has dropped it, so the miss rungs
+// re-fill it.
+func (s *Server) lease(key string) *cachestore.Lease {
+	l, err := s.store.Lease(key)
+	if errors.Is(err, cachestore.ErrUnopenable) {
+		s.stats.residentOpenFails.Add(1)
+	}
+	return l
+}
+
+// respond serves up to n bytes of src at off as a response and consumes
+// src's reference. With ZeroCopy armed a lease leaves as the response's
+// file payload — released by the transport after sendfile — so warm
+// bytes never cross userspace; every other source is pread into the
+// response's pooled buffer. Reads past the end serve the available
+// prefix (possibly empty), matching ReadAt-at-EOF semantics.
+func (s *Server) respond(src source, off, n int64) (*transport.Response, int64, error) {
+	if off < 0 {
+		src.release()
+		return nil, 0, fmt.Errorf("hvac server: negative read offset %d", off)
+	}
+	resp := transport.AcquireResponse()
+	resp.Status = transport.StatusOK
+	if s.cfg.ZeroCopy && src.lease != nil {
+		n = min(n, max(src.size-off, 0))
+		resp.Size = n
+		if n == 0 {
+			src.lease.Release()
+			return resp, 0, nil
+		}
+		resp.SetPayloadFile(src.lease.File(), off, n, src.lease, &s.zc)
+		return resp, n, nil
+	}
+	buf := resp.Grab(int(n))
+	got, err := src.ReadAt(buf, off)
+	src.release()
+	if err != nil && err != io.EOF {
+		resp.Release()
+		return nil, 0, err
+	}
+	resp.Size = int64(got)
+	resp.Data = buf[:got]
+	return resp, int64(got), nil
+}
+
+// handleOpen serves a forwarded open: the ladder resolves the file's
+// source once, and the handle keeps it — a lease on a warm file, the
+// in-flight fill on a cold one, a PFS file under backpressure — until
+// handleClose releases it.
 func (s *Server) handleOpen(req *transport.Request) *transport.Response {
 	if err := s.allowed(req.Path); err != nil {
 		return errResp(err)
 	}
-	if s.store.Contains(req.Path) {
-		f, release, err := s.store.Open(req.Path)
-		if err == nil {
-			fi, serr := f.Stat()
-			if serr != nil {
-				_ = f.Close() // the stat failure is the error to report
-				release()
-				return errResp(serr)
-			}
-			fd := s.nextFD.Add(1)
-			s.handles.put(fd, &openHandle{f: f, release: release, size: fi.Size(), path: req.Path})
-			s.stats.opens.Add(1)
-			s.stats.hits.Add(1)
-			s.planObserve(req.Path)
-			return &transport.Response{Status: transport.StatusOK, Handle: fd, Size: fi.Size()}
-		}
-		// Evicted between Contains and Open: fall through to the miss path.
-	}
-	fi, err := os.Stat(req.Path)
+	src, hit, err := s.acquire(fetchTask{key: req.Path, path: req.Path})
 	if err != nil {
-		return errResp(fmt.Errorf("hvac server: pfs stat: %w", err))
-	}
-	h := &openHandle{size: fi.Size(), path: req.Path}
-	if fe, _ := s.scheduleFetch(fetchTask{key: req.Path, path: req.Path}, true); fe != nil {
-		h.fe = fe
-	} else if err := s.promote(h); err != nil {
-		// Backpressure fallback needs its own PFS handle right away.
 		return errResp(err)
 	}
 	fd := s.nextFD.Add(1)
-	s.handles.put(fd, h)
+	s.handles.put(fd, src)
 	s.stats.opens.Add(1)
-	s.stats.readThroughs.Add(1)
+	if hit {
+		s.stats.hits.Add(1)
+	} else {
+		s.stats.readThroughs.Add(1)
+	}
 	s.planObserve(req.Path)
-	return &transport.Response{Status: transport.StatusOK, Handle: fd, Size: fi.Size()}
+	return &transport.Response{Status: transport.StatusOK, Handle: fd, Size: src.size}
 }
 
-// promote equips a cold handle with a concrete file: the committed cache
-// entry when the fill landed, the PFS file otherwise. Called when the
-// handle's fill is no longer consumable (committed and released, failed,
-// or never created).
-func (s *Server) promote(h *openHandle) error {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.f != nil {
-		return nil
-	}
-	if f, release, err := s.store.Open(h.path); err == nil {
-		h.f, h.release = f, release
-		return nil
-	}
-	f, err := s.openPFS(h.path)
-	if err != nil {
-		return fmt.Errorf("hvac server: pfs open: %w", err)
-	}
-	h.f = f
-	return nil
-}
-
-// leaseResponse builds a zero-copy response serving up to maxLen bytes
-// of key's cached file starting at off: the payload is the fd lease
-// itself (released by the transport after the write), so warm bytes can
-// leave via sendfile without a userspace copy. Returns nil when the key
-// cannot be leased — the caller serves through its pooled path instead.
-// The byte count mirrors ReadAt-at-EOF semantics: reads past the end
-// serve the available prefix (possibly empty) as a short, OK response.
-func (s *Server) leaseResponse(key string, off, maxLen int64) (*transport.Response, int64) {
-	lz, err := s.store.Lease(key)
-	if err != nil {
-		return nil, 0
-	}
-	n := lz.Size() - off
-	if n < 0 {
-		n = 0
-	}
-	if n > maxLen {
-		n = maxLen
-	}
-	resp := transport.AcquireResponse()
-	resp.Status = transport.StatusOK
-	resp.Size = n
-	if n == 0 {
-		lz.Release()
-		return resp, 0
-	}
-	resp.SetPayloadFile(lz.File(), off, n, lz, &s.zc)
-	return resp, n
-}
-
-// readHandle serves a ranged read on an open handle: directly from the
-// handle's file when it has one, else from the in-flight fill it is
-// attached to, promoting to the committed cache entry (or the PFS) when
-// the fill is gone.
-func (s *Server) readHandle(h *openHandle, buf []byte, off int64) (int, error) {
-	if h.fe == nil {
-		return h.f.ReadAt(buf, off)
-	}
-	h.mu.Lock()
-	f := h.f
-	h.mu.Unlock()
-	if f != nil {
-		return f.ReadAt(buf, off)
-	}
-	select {
-	case <-h.fe.ready:
-	case <-s.stop:
-		return 0, errServerClosed
-	}
-	if fl := h.fe.fill; fl != nil && fl.Acquire() {
-		n, err := fl.ReadAt(buf, off)
-		fl.Release()
-		if err == nil || err == io.EOF {
-			return n, err
-		}
-		// The fill aborted mid-stream: promote and re-read below.
-	}
-	if err := s.promote(h); err != nil {
-		return 0, err
-	}
-	h.mu.Lock()
-	f = h.f
-	h.mu.Unlock()
-	return f.ReadAt(buf, off)
-}
-
-// handleRead serves a ranged read on an open handle. The warm path is
-// allocation-free: the payload buffer is pooled (owned by the response,
-// recycled by the transport loop after the vectored write), the handle
-// lookup takes a sharded read lock, and the counters are atomics.
+// handleRead serves a ranged read on an open handle from the source
+// resolved at open, under a per-request reference so a racing close
+// cannot release it mid-read. The warm path is allocation-free: the
+// lease and payload buffer are pooled (owned by the response, recycled
+// by the transport loop after the write), the handle lookup takes a
+// sharded read lock, and the counters are atomics.
 //
 //hvac:pair-split served whole-file handle reads are outside the identity: their Hits/ReadThroughs sourcing was counted at open
 func (s *Server) handleRead(req *transport.Request) *transport.Response {
-	h, ok := s.handles.get(req.Handle)
-	if !ok {
-		return errResp(fmt.Errorf("hvac server: bad handle %d", req.Handle))
-	}
 	if err := checkReadLen(req.Len); err != nil {
 		return errResp(err)
 	}
-	// Zero-copy warm serve: a cache-backed handle (h.release pins the
-	// index entry, so the key cannot have been evicted) is served via a
-	// fresh fd lease and sendfile instead of a pooled pread. Cold
-	// (serve-from-fill) handles keep the watermark path below.
-	if s.cfg.ZeroCopy && h.fe == nil && h.release != nil {
-		if resp, n := s.leaseResponse(h.path, req.Off, req.Len); resp != nil {
-			s.stats.reads.Add(1)
-			s.stats.bytesServed.Add(n)
-			return resp
-		}
+	src, ok := s.handles.share(req.Handle)
+	if !ok {
+		return errResp(fmt.Errorf("hvac server: bad handle %d", req.Handle))
 	}
-	resp := transport.AcquireResponse()
-	buf := resp.Grab(int(req.Len))
-	n, err := s.readHandle(h, buf, req.Off)
-	if err != nil && err != io.EOF {
-		resp.Release()
+	resp, n, err := s.respond(src, req.Off, req.Len)
+	if err != nil {
 		return errResp(err)
 	}
 	s.stats.reads.Add(1)
-	s.stats.bytesServed.Add(int64(n))
-	resp.Status = transport.StatusOK
-	resp.Size = int64(n)
-	resp.Data = buf[:n]
+	s.stats.bytesServed.Add(n)
 	return resp
 }
 
 func (s *Server) handleClose(req *transport.Request) *transport.Response {
-	h, ok := s.handles.take(req.Handle)
+	src, ok := s.handles.take(req.Handle)
 	if !ok {
 		return errResp(fmt.Errorf("hvac server: bad handle %d", req.Handle))
 	}
 	s.stats.closes.Add(1)
-	h.mu.Lock()
-	f := h.f
-	h.mu.Unlock()
-	var err error
-	if f != nil {
-		err = f.Close()
-	}
-	if h.release != nil {
-		h.release()
-	}
-	if err != nil {
-		return errResp(fmt.Errorf("hvac server: close handle %d: %w", req.Handle, err))
-	}
+	src.release()
 	return &transport.Response{Status: transport.StatusOK}
 }
 
@@ -1026,11 +970,9 @@ func (s *Server) handlePrefetch(req *transport.Request) *transport.Response {
 }
 
 // handleReadAt serves a stateless segment read: the requested byte range
-// must lie within one segment; the segment is served from the cache when
-// resident — through the store's shared-handle cache, so a warm segment
-// read costs one pread, not an open/read/close triple. A miss registers
-// the segment with the data-mover and is served from the in-flight fill;
-// only queue backpressure degrades it to handler-side read-through.
+// must lie within one segment, which the read ladder sources like a
+// whole file — a warm segment read costs one pooled lease and one pread
+// (or sendfile), a cold one is served from the segment's fill.
 func (s *Server) handleReadAt(req *transport.Request) *transport.Response {
 	segSize := s.cfg.SegmentSize
 	if segSize <= 0 {
@@ -1048,90 +990,21 @@ func (s *Server) handleReadAt(req *transport.Request) *transport.Response {
 	}
 	key := segKey(req.Path, segIdx)
 	s.planObserve(key)
-	// Zero-copy warm serve: lease the resident segment and let sendfile
-	// move it. A failed lease (not cached, or evicted) falls through to
-	// the pooled path, whose own Contains re-probe routes to the miss
-	// handling.
-	if s.cfg.ZeroCopy {
-		if resp, n := s.leaseResponse(key, req.Off-segIdx*segSize, req.Len); resp != nil {
-			s.stats.reads.Add(1)
-			s.stats.hits.Add(1)
-			s.stats.bytesServed.Add(n)
-			return resp
-		}
-	}
-	resp := transport.AcquireResponse()
-	buf := resp.Grab(int(req.Len))
-
-	if s.store.Contains(key) {
-		n, rerr := s.store.ReadAt(key, buf, req.Off-segIdx*segSize)
-		if rerr == nil || rerr == io.EOF {
-			s.stats.reads.Add(1)
-			s.stats.hits.Add(1)
-			s.stats.bytesServed.Add(int64(n))
-			resp.Status = transport.StatusOK
-			resp.Size = int64(n)
-			resp.Data = buf[:n]
-			return resp
-		}
-		// Evicted (or the cached copy went bad) between Contains and
-		// ReadAt: fall through to the miss path, which serves the same
-		// bytes from the PFS.
-	}
-	// Serve-from-fill: register the segment and read the range out of the
-	// fill as it lands — the mover's pass is the only PFS read.
-	if fe, _ := s.scheduleFetch(fetchTask{key: key, path: req.Path, off: segIdx * segSize, len: segSize}, true); fe != nil {
-		select {
-		case <-fe.ready:
-		case <-s.stop:
-			resp.Release()
-			return errResp(errServerClosed)
-		}
-		if fl := fe.fill; fl != nil && fl.Acquire() {
-			n, rerr := fl.ReadAt(buf, req.Off-segIdx*segSize)
-			fl.Release()
-			if rerr == nil || rerr == io.EOF {
-				s.stats.reads.Add(1)
-				s.stats.readThroughs.Add(1)
-				s.stats.bytesServed.Add(int64(n))
-				resp.Status = transport.StatusOK
-				resp.Size = int64(n)
-				resp.Data = buf[:n]
-				return resp
-			}
-		}
-		// The fill was already retired (small segments commit before the
-		// handler attaches) or failed after committing nothing: a committed
-		// entry serves the same bytes. Still a read-through — this request
-		// is what pulled the segment off the PFS.
-		if n, rerr := s.store.ReadAt(key, buf, req.Off-segIdx*segSize); rerr == nil || rerr == io.EOF {
-			s.stats.reads.Add(1)
-			s.stats.readThroughs.Add(1)
-			s.stats.bytesServed.Add(int64(n))
-			resp.Status = transport.StatusOK
-			resp.Size = int64(n)
-			resp.Data = buf[:n]
-			return resp
-		}
-	}
-	// Read-through from the PFS: backpressure or fill failure.
-	f, err := s.openPFS(req.Path)
+	src, hit, err := s.acquire(fetchTask{key: key, path: req.Path, off: segIdx * segSize, len: segSize})
 	if err != nil {
-		resp.Release()
-		return errResp(fmt.Errorf("hvac server: pfs open: %w", err))
+		return errResp(err)
 	}
-	n, rerr := f.ReadAt(buf, req.Off)
-	_ = f.Close() // read-only handle; the ReadAt result is what matters
-	if rerr != nil && rerr != io.EOF {
-		resp.Release()
-		return errResp(rerr)
+	resp, n, err := s.respond(src, req.Off-segIdx*segSize, req.Len)
+	if err != nil {
+		return errResp(err)
 	}
 	s.stats.reads.Add(1)
-	s.stats.readThroughs.Add(1)
-	s.stats.bytesServed.Add(int64(n))
-	resp.Status = transport.StatusOK
-	resp.Size = int64(n)
-	resp.Data = buf[:n]
+	if hit {
+		s.stats.hits.Add(1)
+	} else {
+		s.stats.readThroughs.Add(1)
+	}
+	s.stats.bytesServed.Add(n)
 	return resp
 }
 
@@ -1162,86 +1035,41 @@ func (s *Server) handleReadBatch(req *transport.Request) *transport.Response {
 	}
 	var out []byte
 	for _, p := range paths {
-		room := transport.BatchResponseBudget - len(out)
-		data, hit, err := s.readWhole(p, room)
-		switch {
-		case err == errBatchAgain:
-			out = transport.AppendBatchEntry(out, transport.StatusAgain, nil)
-		case err != nil:
-			out = transport.AppendBatchEntry(out, transport.StatusError, []byte(err.Error()))
-		default:
-			out = transport.AppendBatchEntry(out, transport.StatusOK, data)
-			s.stats.batchEntries.Add(1)
-			s.stats.bytesServed.Add(int64(len(data)))
-			if hit {
-				s.stats.hits.Add(1)
-			} else {
-				s.stats.readThroughs.Add(1)
-			}
-			s.planObserve(p)
+		var src source
+		var hit bool
+		err := s.allowed(p)
+		if err == nil {
+			src, hit, err = s.acquire(fetchTask{key: p, path: p})
 		}
+		if err != nil {
+			out = transport.AppendBatchEntry(out, transport.StatusError, []byte(err.Error()))
+			continue
+		}
+		if src.size > int64(transport.BatchResponseBudget-len(out)) {
+			// Over the frame budget: the client re-reads it individually
+			// (a cold file keeps filling meanwhile).
+			src.release()
+			out = transport.AppendBatchEntry(out, transport.StatusAgain, nil)
+			continue
+		}
+		data := make([]byte, src.size)
+		n, err := src.ReadAt(data, 0)
+		src.release()
+		if err != nil && err != io.EOF {
+			out = transport.AppendBatchEntry(out, transport.StatusError, []byte(err.Error()))
+			continue
+		}
+		out = transport.AppendBatchEntry(out, transport.StatusOK, data[:n])
+		s.stats.batchEntries.Add(1)
+		s.stats.bytesServed.Add(int64(n))
+		if hit {
+			s.stats.hits.Add(1)
+		} else {
+			s.stats.readThroughs.Add(1)
+		}
+		s.planObserve(p)
 	}
 	return &transport.Response{Status: transport.StatusOK, Size: int64(len(paths)), Data: out}
-}
-
-// errBatchAgain marks a batch entry that did not fit the response frame
-// budget; the client re-reads it individually.
-var errBatchAgain = errors.New("hvac server: batch entry over frame budget")
-
-// readWhole returns path's full content for a batch entry, serving warm
-// keys from the cache and cold ones from the single-flighted in-flight
-// fill. room bounds the payload this entry may add to the response.
-func (s *Server) readWhole(path string, room int) (data []byte, hit bool, err error) {
-	if err := s.allowed(path); err != nil {
-		return nil, false, err
-	}
-	if size, ok := s.store.Size(path); ok {
-		if size > int64(room) {
-			return nil, false, errBatchAgain
-		}
-		buf := make([]byte, size)
-		if n, rerr := s.store.ReadAt(path, buf, 0); rerr == nil || rerr == io.EOF {
-			return buf[:n], true, nil
-		}
-		// Evicted between Size and ReadAt: continue on the miss path.
-	}
-	fi, err := os.Stat(path)
-	if err != nil {
-		return nil, false, fmt.Errorf("hvac server: pfs stat: %w", err)
-	}
-	if fi.Size() > int64(room) {
-		return nil, false, errBatchAgain
-	}
-	buf := make([]byte, fi.Size())
-	if fe, _ := s.scheduleFetch(fetchTask{key: path, path: path}, true); fe != nil {
-		select {
-		case <-fe.ready:
-		case <-s.stop:
-			return nil, false, errServerClosed
-		}
-		if fl := fe.fill; fl != nil && fl.Acquire() {
-			n, rerr := fl.ReadAt(buf, 0)
-			fl.Release()
-			if rerr == nil || rerr == io.EOF {
-				return buf[:n], false, nil
-			}
-		}
-		// Fill gone: committed already, or failed. Try the cache once.
-		if n, rerr := s.store.ReadAt(path, buf, 0); rerr == nil || rerr == io.EOF {
-			return buf[:n], false, nil
-		}
-	}
-	// Backpressure or fill failure: handler-side read-through.
-	f, err := s.openPFS(path)
-	if err != nil {
-		return nil, false, fmt.Errorf("hvac server: pfs open: %w", err)
-	}
-	n, rerr := f.ReadAt(buf, 0)
-	_ = f.Close() // read-only handle; the ReadAt result is what matters
-	if rerr != nil && rerr != io.EOF {
-		return nil, false, rerr
-	}
-	return buf[:n], false, nil
 }
 
 func (s *Server) handleStat(req *transport.Request) *transport.Response {

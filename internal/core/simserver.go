@@ -246,7 +246,7 @@ func (s *SimServer) scheduleCopy(path string, size int64, fromPFS bool) {
 		s.dev.Write(p, size)
 		evicted, err := s.index.Insert(path, size)
 		if err != nil {
-			return // cache cannot admit it (e.g. all pinned); stay uncached
+			return // cache cannot admit it (e.g. larger than capacity); stay uncached
 		}
 		s.stats.Evictions += int64(len(evicted))
 		s.stats.Misses++

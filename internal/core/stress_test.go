@@ -12,7 +12,7 @@ import (
 // with parallel clients reading an overlapping file set while the cache is
 // too small to hold the dataset, so the evictor churns the whole time. Run
 // under -race this exercises the handle table, the data-mover dedup map,
-// the cachestore pin/evict protocol, and the stats mutex concurrently.
+// the cachestore lease/evict protocol, and the stats counters concurrently.
 //
 // Afterwards the ServerStats must satisfy the exact accounting identity:
 // every open was served either from cache or read through from the PFS
